@@ -1709,13 +1709,17 @@ struct ClusterExecutor::Impl {
     }
     if (ns.offers_pending == 0) return;
     --ns.offers_pending;
-    if (m.type == MsgType::kOffer && m.arg > ns.best_count) {
+    // Never acquire work of an op whose drain this node already acked:
+    // the coordinator may terminate it once the provider acks too.
+    if (m.type == MsgType::kOffer && m.arg > ns.best_count &&
+        !ns.drain_acked[m.op]) {
       ns.best_count = m.arg;
       ns.best_provider = m.from;
       ns.best_op = m.op;
     }
     if (ns.offers_pending == 0) {
-      if (ns.best_provider == UINT32_MAX) {
+      // The ack may also have gone out after the best offer was taken.
+      if (ns.best_provider == UINT32_MAX || ns.drain_acked[ns.best_op]) {
         ns.steal_in_progress = false;
         return;
       }

@@ -31,6 +31,13 @@
 //                  reports the coordinator runs a drain-confirm round
 //                  (covering in-flight steals), then broadcasts
 //                  kOpTerminated, which unblocks dependent operators.
+//                  A node acks an op's drain only with no steal in
+//                  flight, and never acquires work of an op whose drain
+//                  it has acked: offers for such an op are ignored, and
+//                  a steal round whose chosen op got acked meanwhile
+//                  ends without an acquire. Otherwise stolen activations
+//                  could still run after the coordinator terminated the
+//                  op (and lose rows when it is the final op).
 //
 //   chains         a bushy plan decomposes into pipeline chains whose
 //                  build (or input) sides may be earlier chains' outputs.

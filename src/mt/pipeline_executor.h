@@ -203,6 +203,9 @@ class PipelineExecutor {
   /// Emits the accumulated span cells into the sink (every exit path of
   /// Execute, cancelled/failed runs included).
   void EmitTraceCells();
+  /// Sets `ev`'s worker/guest pair for a slot: slots [0, threads) are
+  /// rented workers, the rest are guest slots of cross-query helpers.
+  void LabelSlot(uint32_t slot, obs::TraceEvent* ev) const;
   /// Abandons build-cache offers a torn-down run will never publish.
   void AbandonPendingOffers();
 

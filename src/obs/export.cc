@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <sstream>
+#include <utility>
 
 namespace hierdb::obs {
 
@@ -82,9 +84,27 @@ std::string ChromeTraceJson(const QueryTrace& trace) {
     os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << n
        << ",\"tid\":0,\"args\":{\"name\":\"node " << n << "\"}}";
   }
+  // Guest work (cross-query helpers on borrowed guest slots) gets its own
+  // named tracks past the worker tracks, so a helper never reads as one
+  // of the query's own workers.
+  int32_t guest_base = static_cast<int32_t>(trace.workers_per_node);
+  std::set<std::pair<int32_t, int32_t>> guest_tracks;  // (node, guest)
+  for (const TraceEvent& e : trace.events) {
+    guest_base = std::max(guest_base, e.worker + 1);
+    if (e.guest >= 0) guest_tracks.emplace(e.node, e.guest);
+  }
+  for (const auto& [node, guest] : guest_tracks) {
+    sep();
+    os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << node
+       << ",\"tid\":" << guest_base + guest << ",\"args\":{\"name\":\"guest "
+       << guest << "\"}}";
+  }
   for (const TraceEvent& e : trace.events) {
     sep();
-    const int32_t tid = e.worker >= 0 ? e.worker : (e.op >= 0 ? e.op : 0);
+    const int32_t tid = e.guest >= 0    ? guest_base + e.guest
+                        : e.worker >= 0 ? e.worker
+                        : e.op >= 0     ? e.op
+                                        : 0;
     os << "{\"name\":" << JsonStr(EventName(trace, e)) << ",\"pid\":"
        << e.node << ",\"tid\":" << tid << ",\"ts\":" << Num(ToUs(e.start_ns));
     if (e.kind == EventKind::kSpan) {
@@ -100,6 +120,7 @@ std::string ChromeTraceJson(const QueryTrace& trace) {
       os << ",\"detail\":" << e.detail;
     }
     if (e.op >= 0) os << ",\"op\":" << e.op;
+    if (e.guest >= 0) os << ",\"guest\":" << e.guest;
     if (e.query > 0) os << ",\"query\":" << e.query;
     os << "}}";
   }

@@ -6,7 +6,11 @@
 //                     "X" (complete) events with pid = node and
 //                     tid = worker; instants become "i" events; node and
 //                     thread name metadata rows make the timeline
-//                     readable.
+//                     readable. Guest work (TraceEvent::guest >= 0) lands
+//                     on "guest g" tracks numbered after the worker
+//                     tracks (tid = workers_per_node + g, or past the
+//                     highest worker seen when a recorder snapshot mixes
+//                     query shapes).
 //
 //   PlanDot           a Graphviz digraph of the compiled operator graph,
 //                     each node annotated with estimated vs actual

@@ -80,7 +80,11 @@ void FlightRecorder::Write(Ring& r, const TraceEvent& ev) {
   // is then guaranteed to see seq != generation on its recheck).
   s.seq.store(0, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
-  s.w[0].store(static_cast<uint64_t>(ev.kind), std::memory_order_relaxed);
+  // Word 0 packs the kind (low byte) with the guest index (high half).
+  s.w[0].store(static_cast<uint64_t>(ev.kind) |
+                   (static_cast<uint64_t>(static_cast<uint32_t>(ev.guest))
+                    << 32),
+               std::memory_order_relaxed);
   s.w[1].store(static_cast<uint64_t>(static_cast<int64_t>(ev.node)),
                std::memory_order_relaxed);
   s.w[2].store(static_cast<uint64_t>(static_cast<int64_t>(ev.worker)),
@@ -111,7 +115,9 @@ std::vector<TraceEvent> FlightRecorder::Snapshot() const {
       const Slot& s = r.slots[i & r.mask];
       if (s.seq.load(std::memory_order_acquire) != i + 2) continue;
       TraceEvent ev;
-      ev.kind = static_cast<EventKind>(s.w[0].load(std::memory_order_relaxed));
+      const uint64_t w0 = s.w[0].load(std::memory_order_relaxed);
+      ev.kind = static_cast<EventKind>(static_cast<uint8_t>(w0));
+      ev.guest = static_cast<int32_t>(static_cast<uint32_t>(w0 >> 32));
       ev.node = static_cast<int32_t>(
           static_cast<int64_t>(s.w[1].load(std::memory_order_relaxed)));
       ev.worker = static_cast<int32_t>(

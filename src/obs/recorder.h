@@ -90,14 +90,17 @@ class FlightRecorder {
     Write(*r, ev);
   }
 
-  /// Convenience: an instant of `kind` stamped now.
+  /// Convenience: an instant of `kind` stamped now. `worker` and `guest`
+  /// follow the TraceEvent convention (a rented worker slot, or a guest
+  /// index with worker = -1).
   void Instant(EventKind kind, uint64_t query, uint64_t detail,
-               int32_t node = 0, int32_t worker = -1) {
+               int32_t node = 0, int32_t worker = -1, int32_t guest = -1) {
     if (!armed_) return;
     TraceEvent ev;
     ev.kind = kind;
     ev.node = node;
     ev.worker = worker;
+    ev.guest = guest;
     ev.start_ns = ev.end_ns = NowNs();
     ev.detail = detail;
     ev.query = query;
@@ -122,7 +125,8 @@ class FlightRecorder {
  private:
   // One seqlock slot: `seq` publishes a generation (head value + 2 of the
   // write that filled it; 0 = never written), the payload words are
-  // individually-relaxed atomics. kWords covers every TraceEvent field.
+  // individually-relaxed atomics. kWords covers every TraceEvent field
+  // (w[0] packs kind and guest).
   static constexpr uint32_t kWords = 11;
   struct Slot {
     std::atomic<uint64_t> seq{0};

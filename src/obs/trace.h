@@ -71,11 +71,23 @@ const char* EventKindName(EventKind k);
 /// instants (everything else) have end_ns == start_ns and use `detail`
 /// for a kind-specific payload (rows shipped, activations stolen,
 /// workers rented).
+///
+/// Who ran the work is one of: a rented worker of the query (`worker` in
+/// [0, workers_per_node), `guest` = -1), a guest — a thread of the
+/// session pool or of another query that borrowed one of the query's
+/// guest slots through the cross-query steal hook (`worker` = -1,
+/// `guest` = the guest index) — or nobody in particular (both -1: the
+/// scheduler, the pool, a node's message loop).
 struct TraceEvent {
   EventKind kind = EventKind::kSpan;
   int32_t node = 0;     ///< cluster node (0 on single-node backends)
-  int32_t worker = -1;  ///< worker slot within the node; -1 = none
+  /// Rented worker slot within the node, < workers_per_node; -1 = not
+  /// run by one of the query's own workers (guest work included).
+  int32_t worker = -1;
   int32_t op = -1;      ///< compiled operator id; -1 = not op-scoped
+  /// Guest index (0-based) when a cross-query guest ran the work; -1 =
+  /// not guest work.
+  int32_t guest = -1;
   uint64_t start_ns = 0;
   uint64_t end_ns = 0;
   uint64_t activations = 0;

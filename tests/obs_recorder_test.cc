@@ -268,6 +268,25 @@ TEST(Recorder, SessionBlackBoxSeesAdmissionAndPoolTraffic) {
   EXPECT_TRUE(obs::ValidateChromeTraceJson(obs::ChromeTraceJson(t)).ok());
 }
 
+// Cross-query helpers record their steals as guests: no executor kSteal
+// instant poses as a worker outside the query's rental. A pool larger
+// than the rental makes idle pool threads steal on any host.
+TEST(Recorder, GuestStealsNeverPoseAsWorkers) {
+  SessionOptions so;
+  so.pool_threads = 8;
+  Fixture f(20000, so);
+  ExecOptions o = Opts(Backend::kThreads, 1, 4);
+  o.strategy = Strategy::kDP;  // DP publishes the cross-query steal hook
+  auto r = f.db.Execute(f.Join2(), o);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(f.db.recorder(), nullptr);
+  for (const obs::TraceEvent& ev : f.db.recorder()->Snapshot()) {
+    if (ev.kind != obs::EventKind::kSteal) continue;
+    EXPECT_LT(ev.worker, 4);
+    if (ev.guest >= 0) EXPECT_EQ(ev.worker, -1);
+  }
+}
+
 TEST(Recorder, DisabledRecorderLeavesTheSessionFullyFunctional) {
   SessionOptions so;
   so.flight_recorder = false;

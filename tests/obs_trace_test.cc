@@ -86,6 +86,23 @@ void CheckSpans(const obs::QueryTrace& t) {
   EXPECT_GT(t.MaxEndNs(), 0u);
 }
 
+/// Guest checks for a session that ran exactly one traced kThreads query:
+/// work a cross-query helper ran on a borrowed guest slot is labelled as
+/// guest work (never as one of the query's workers), and every guest
+/// steal in the trace is one of the pool's counted foreign steals — the
+/// steal hook is cleared, and its in-flight calls drained, before Execute
+/// returns.
+void CheckGuests(const obs::QueryTrace& t, const PoolStats& pool) {
+  uint64_t guest_steals = 0;
+  for (const obs::TraceEvent& ev : t.events) {
+    if (ev.guest < 0) continue;
+    EXPECT_EQ(ev.worker, -1);
+    EXPECT_EQ(ev.node, 0);
+    if (ev.kind == obs::EventKind::kSteal) ++guest_steals;
+  }
+  EXPECT_EQ(guest_steals, pool.foreign_steals);
+}
+
 TEST(ObsTrace, ThreadsTraceSpansAndCards) {
   Fixture f;
   auto r = f.db.Execute(f.Join2(), Opts(Backend::kThreads, 1, 4));
@@ -100,6 +117,7 @@ TEST(ObsTrace, ThreadsTraceSpansAndCards) {
     EXPECT_EQ(ev.node, 0);
     EXPECT_LT(ev.worker, 4);
   }
+  CheckGuests(*rep.trace, f.db.pool_stats());
   // Chain cards: estimates from the optimizer, actuals measured; the
   // final chain's actual is the query's result cardinality.
   ASSERT_EQ(rep.chain_cards.size(), 1u);
@@ -112,6 +130,73 @@ TEST(ObsTrace, ThreadsTraceSpansAndCards) {
     if (op.actual_rows == rep.result_rows && op.kind == "probe") found = true;
   }
   EXPECT_TRUE(found);
+}
+
+// A pool larger than the query's rental leaves idle pool threads that
+// steal into the query through its guest slots on any host, 1-core
+// runners included.
+TEST(ObsTrace, ThreadsTraceLabelsGuestWorkOnALargerPool) {
+  SessionOptions so;
+  so.pool_threads = 8;
+  Fixture f(20000, so);
+  auto r = f.db.Execute(f.Join2(), Opts(Backend::kThreads, 1, 4));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(r.value().trace, nullptr);
+  const obs::QueryTrace& t = *r.value().trace;
+  CheckSpans(t);
+  EXPECT_EQ(t.workers_per_node, 4u);
+  for (const obs::TraceEvent& ev : t.events) {
+    EXPECT_EQ(ev.node, 0);
+    EXPECT_LT(ev.worker, 4);
+  }
+  CheckGuests(t, f.db.pool_stats());
+  // Guests export onto their own named tracks after the worker tracks.
+  std::string json = obs::ChromeTraceJson(t);
+  EXPECT_TRUE(obs::ValidateChromeTraceJson(json).ok());
+  for (const obs::TraceEvent& ev : t.events) {
+    if (ev.guest < 0) continue;
+    const std::string track = "\"tid\":" + std::to_string(4 + ev.guest) +
+                              ",\"args\":{\"name\":\"guest " +
+                              std::to_string(ev.guest) + "\"}";
+    EXPECT_NE(json.find(track), std::string::npos) << track;
+  }
+}
+
+TEST(ObsTrace, ChromeExportPutsGuestsOnNamedTracksAfterTheWorkers) {
+  obs::QueryTrace t;
+  t.backend = "threads";
+  t.workers_per_node = 4;
+  t.ops.push_back({0, "c0.scan(fact)", "scan", 0, {}, 0.0, 0});
+  obs::TraceEvent worker_span;
+  worker_span.worker = 1;
+  worker_span.op = 0;
+  worker_span.end_ns = 10;
+  worker_span.activations = 1;
+  obs::TraceEvent guest_span = worker_span;
+  guest_span.worker = -1;
+  guest_span.guest = 2;
+  obs::TraceEvent guest_steal;
+  guest_steal.kind = obs::EventKind::kSteal;
+  guest_steal.guest = 2;
+  guest_steal.detail = 1;
+  t.events = {worker_span, guest_span, guest_steal};
+  std::string json = obs::ChromeTraceJson(t);
+  ASSERT_TRUE(obs::ValidateChromeTraceJson(json).ok()) << json;
+  // One "guest 2" track at tid 4 + 2, named once, holding both guest
+  // events; the worker span stays on its worker track.
+  const std::string name =
+      "\"name\":\"thread_name\",\"pid\":0,\"tid\":6,\"args\":{\"name\":"
+      "\"guest 2\"}";
+  EXPECT_NE(json.find(name), std::string::npos) << json;
+  size_t on_guest_track = 0;
+  for (size_t at = json.find("\"pid\":0,\"tid\":6,\"ts\"");
+       at != std::string::npos;
+       at = json.find("\"pid\":0,\"tid\":6,\"ts\"", at + 1)) {
+    ++on_guest_track;
+  }
+  EXPECT_EQ(on_guest_track, 2u) << json;
+  EXPECT_NE(json.find("\"pid\":0,\"tid\":1,\"ts\""), std::string::npos);
+  EXPECT_NE(json.find("\"guest\":2"), std::string::npos);
 }
 
 TEST(ObsTrace, TraceOffMeansNoTraceButCardsRemain) {
