@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -153,11 +154,14 @@ TEST(ObsTrace, ThreadsTraceLabelsGuestWorkOnALargerPool) {
   // Guests export onto their own named tracks after the worker tracks.
   std::string json = obs::ChromeTraceJson(t);
   EXPECT_TRUE(obs::ValidateChromeTraceJson(json).ok());
+  std::set<int32_t> guests;
   for (const obs::TraceEvent& ev : t.events) {
-    if (ev.guest < 0) continue;
-    const std::string track = "\"tid\":" + std::to_string(4 + ev.guest) +
+    if (ev.guest >= 0) guests.insert(ev.guest);
+  }
+  for (int32_t g : guests) {
+    const std::string track = "\"tid\":" + std::to_string(4 + g) +
                               ",\"args\":{\"name\":\"guest " +
-                              std::to_string(ev.guest) + "\"}";
+                              std::to_string(g) + "\"}";
     EXPECT_NE(json.find(track), std::string::npos) << track;
   }
 }
