@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -573,17 +572,6 @@ obs::FlightRecorder::Options RecorderOptions(const SessionOptions& options) {
   return ro;
 }
 
-// The default pool size: HIERDB_POOL_THREADS when set to a positive
-// count (to run a whole suite at a chosen pool shape; affinity masks do
-// not change hardware_concurrency), else hardware_concurrency.
-uint32_t DefaultPoolThreads() {
-  if (const char* env = std::getenv("HIERDB_POOL_THREADS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<uint32_t>(n);
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 }  // namespace
 
 Session::Session(const SessionOptions& options)
@@ -591,8 +579,9 @@ Session::Session(const SessionOptions& options)
                     ? std::make_unique<obs::FlightRecorder>(
                           RecorderOptions(options))
                     : nullptr),
-      pool_threads_(options.pool_threads != 0 ? options.pool_threads
-                                              : DefaultPoolThreads()),
+      pool_threads_(options.pool_threads != 0
+                        ? options.pool_threads
+                        : std::max(1u, std::thread::hardware_concurrency())),
       session_options_(options),
       scheduler_(std::make_unique<Scheduler>(options, recorder_.get())) {
   build_cache_.SetByteBudget(options.build_cache_bytes);

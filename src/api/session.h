@@ -470,12 +470,11 @@ struct SessionOptions {
   uint32_t max_queued = 256;
   AdmissionPolicy admission = AdmissionPolicy::kFifo;
   /// Size of the session-wide worker pool real-backend queries rent from
-  /// (ExecOptions::use_shared_pool); 0 = the HIERDB_POOL_THREADS
-  /// environment variable when set to a positive count, else
-  /// hardware_concurrency. Where the spawn path creates
-  /// max_concurrent_queries x threads_per_node (x nodes) threads, the
-  /// pool keeps total executor threads at this fixed machine-sized count,
-  /// with idle workers stealing activations across query boundaries.
+  /// (ExecOptions::use_shared_pool); 0 = hardware_concurrency. Where the
+  /// spawn path creates max_concurrent_queries x threads_per_node (x
+  /// nodes) threads, the pool keeps total executor threads at this fixed
+  /// machine-sized count, with idle workers stealing activations across
+  /// query boundaries.
   uint32_t pool_threads = 0;
   /// kShortestCostFirst aging bound: a query queued longer than this
   /// outranks cost ordering and dispatches FIFO among its aged peers, so

@@ -85,12 +85,15 @@ std::string ChromeTraceJson(const QueryTrace& trace) {
        << ",\"tid\":0,\"args\":{\"name\":\"node " << n << "\"}}";
   }
   // Guest work (cross-query helpers on borrowed guest slots) gets its own
-  // named tracks past the worker tracks, so a helper never reads as one
-  // of the query's own workers.
-  int32_t guest_base = static_cast<int32_t>(trace.workers_per_node);
+  // named tracks past every other track: past the worker tracks, so a
+  // helper never reads as one of the query's own workers, and past the
+  // op ids that worker-less events fall back to, so no such event lands
+  // on a track named for a guest.
+  int32_t guest_base = std::max(static_cast<int32_t>(trace.workers_per_node),
+                                static_cast<int32_t>(trace.ops.size()));
   std::set<std::pair<int32_t, int32_t>> guest_tracks;  // (node, guest)
   for (const TraceEvent& e : trace.events) {
-    guest_base = std::max(guest_base, e.worker + 1);
+    guest_base = std::max({guest_base, e.worker + 1, e.op + 1});
     if (e.guest >= 0) guest_tracks.emplace(e.node, e.guest);
   }
   for (const auto& [node, guest] : guest_tracks) {

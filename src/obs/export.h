@@ -6,11 +6,13 @@
 //                     "X" (complete) events with pid = node and
 //                     tid = worker; instants become "i" events; node and
 //                     thread name metadata rows make the timeline
-//                     readable. Guest work (TraceEvent::guest >= 0) lands
-//                     on "guest g" tracks numbered after the worker
-//                     tracks (tid = workers_per_node + g, or past the
-//                     highest worker seen when a recorder snapshot mixes
-//                     query shapes).
+//                     readable. Events with no worker fall back to
+//                     tid = op. Guest work (TraceEvent::guest >= 0) lands
+//                     on "guest g" tracks numbered after both ranges
+//                     (tid = base + g, base = the largest of
+//                     workers_per_node, ops.size(), and every worker and
+//                     op id seen plus one), so a guest track holds only
+//                     guest events.
 //
 //   PlanDot           a Graphviz digraph of the compiled operator graph,
 //                     each node annotated with estimated vs actual

@@ -270,21 +270,36 @@ TEST(Recorder, SessionBlackBoxSeesAdmissionAndPoolTraffic) {
 
 // Cross-query helpers record their steals as guests: no executor kSteal
 // instant poses as a worker outside the query's rental. A pool larger
-// than the rental makes idle pool threads steal on any host.
+// than the rental leaves idle pool threads to steal; a 1-core host may
+// not schedule one during the short query, so each attempt runs on a
+// fresh session and the test stops at the first run with guest steals.
+// Every attempt passes the labelling checks.
 TEST(Recorder, GuestStealsNeverPoseAsWorkers) {
-  SessionOptions so;
-  so.pool_threads = 8;
-  Fixture f(20000, so);
-  ExecOptions o = Opts(Backend::kThreads, 1, 4);
-  o.strategy = Strategy::kDP;  // DP publishes the cross-query steal hook
-  auto r = f.db.Execute(f.Join2(), o);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_NE(f.db.recorder(), nullptr);
-  for (const obs::TraceEvent& ev : f.db.recorder()->Snapshot()) {
-    if (ev.kind != obs::EventKind::kSteal) continue;
-    EXPECT_LT(ev.worker, 4);
-    if (ev.guest >= 0) EXPECT_EQ(ev.worker, -1);
+  constexpr int kAttempts = 20;
+  for (int attempt = 0; attempt < kAttempts; ++attempt) {
+    SessionOptions so;
+    so.pool_threads = 8;
+    Fixture f(20000, so);
+    ExecOptions o = Opts(Backend::kThreads, 1, 4);
+    o.strategy = Strategy::kDP;  // DP publishes the cross-query steal hook
+    auto r = f.db.Execute(f.Join2(), o);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_NE(f.db.recorder(), nullptr);
+    size_t guest_steals = 0;
+    for (const obs::TraceEvent& ev : f.db.recorder()->Snapshot()) {
+      if (ev.kind != obs::EventKind::kSteal) continue;
+      EXPECT_LT(ev.worker, 4);
+      if (ev.guest >= 0) {
+        EXPECT_EQ(ev.worker, -1);
+        ++guest_steals;
+      }
+    }
+    if (f.db.pool_stats().foreign_steals == 0) continue;
+    EXPECT_GT(guest_steals, 0u);
+    return;
   }
+  FAIL() << "no idle pool thread stole into the query in " << kAttempts
+         << " runs; the guest path went unexercised";
 }
 
 TEST(Recorder, DisabledRecorderLeavesTheSessionFullyFunctional) {
